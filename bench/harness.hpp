@@ -19,7 +19,7 @@
 //     ]
 //   }
 // Suites may append extra top-level sections through raw_section() when they
-// keep a legacy layout alongside (perf_engine does); consumers that only
+// keep a suite-specific layout alongside (perf_scale does); consumers that only
 // speak bsr-bench/1 can ignore those.
 #pragma once
 

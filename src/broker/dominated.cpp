@@ -16,10 +16,6 @@ using bsr::graph::UnionFind;
 
 namespace engine = bsr::graph::engine;
 
-bsr::graph::EdgeFilter dominated_edge_filter(const BrokerSet& b) {
-  return [&b](NodeId u, NodeId v) { return b.dominates_edge(u, v); };
-}
-
 DominatedEvaluator::DominatedEvaluator(const CsrGraph& g, const BrokerSet& b,
                                        const bsr::graph::FaultPlane* faults)
     : graph_(&g), brokers_(&b), faults_(faults), uf_(g.num_vertices()) {

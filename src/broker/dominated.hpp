@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "broker/broker_set.hpp"
 #include "graph/csr_graph.hpp"
@@ -29,10 +28,6 @@
 #include "graph/rollback_union_find.hpp"
 
 namespace bsr::broker {
-
-/// Edge filter selecting exactly the dominated edges of B. Bind-by-reference:
-/// the BrokerSet must outlive the returned filter.
-[[nodiscard]] bsr::graph::EdgeFilter dominated_edge_filter(const BrokerSet& b);
 
 /// Unions the endpoints of every active edge of G_B into `uf` by iterating
 /// each broker's star — O(|V| + sum of broker degrees), touching each active

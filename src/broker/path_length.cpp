@@ -25,8 +25,8 @@ PathLengthComparison compare_path_lengths(const CsrGraph& g, const BrokerSet& b,
                                           std::span<const NodeId> sources) {
   PathLengthComparison out;
   out.free_paths = bsr::graph::distance_cdf_from_sources(g, sources);
-  out.dominated_paths =
-      bsr::graph::distance_cdf_from_sources(g, sources, dominated_edge_filter(b));
+  out.dominated_paths = bsr::graph::distance_cdf_from_sources_with(
+      g, sources, bsr::graph::engine::DominatedEdgeFilter{&b.mask()});
   out.max_deviation = bsr::graph::max_cdf_deviation(out.free_paths, out.dominated_paths);
   return out;
 }

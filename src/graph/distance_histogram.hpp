@@ -13,8 +13,8 @@
 // the filter struct inlines into the BFS loop and sources are split across
 // BSR_THREADS shards. Per-shard histograms are integer counts merged in
 // shard order, and the shard partition depends only on the source count, so
-// the result is bit-identical at any thread count. The EdgeFilter overloads
-// below are shims over it.
+// the result is bit-identical at any thread count. The unfiltered entry
+// points below run it with engine::AllEdges.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "graph/csr_graph.hpp"
-#include "graph/edge_filter.hpp"
 #include "graph/engine.hpp"
 #include "graph/rng.hpp"
 
@@ -89,22 +88,18 @@ template <class Filter>
   return detail::cdf_from_histogram(std::move(histogram), sources.size(), n);
 }
 
-/// Distance CDF from explicit BFS sources. If `filter` is non-empty, edges
-/// are admitted per the filter (e.g. dominated-subgraph traversal).
-/// Destinations range over all vertices other than the source.
+/// Distance CDF of the full graph from explicit BFS sources. Destinations
+/// range over all vertices other than the source.
 [[nodiscard]] DistanceCdf distance_cdf_from_sources(const CsrGraph& g,
-                                                    std::span<const NodeId> sources,
-                                                    const EdgeFilter& filter = {});
+                                                    std::span<const NodeId> sources);
 
 /// Distance CDF from `num_sources` uniformly sampled distinct sources
 /// (all vertices if num_sources >= |V|).
 [[nodiscard]] DistanceCdf distance_cdf_sampled(const CsrGraph& g, Rng& rng,
-                                               std::size_t num_sources,
-                                               const EdgeFilter& filter = {});
+                                               std::size_t num_sources);
 
 /// Exact distance CDF (BFS from every vertex). Small graphs / tests only.
-[[nodiscard]] DistanceCdf distance_cdf_exact(const CsrGraph& g,
-                                             const EdgeFilter& filter = {});
+[[nodiscard]] DistanceCdf distance_cdf_exact(const CsrGraph& g);
 
 /// Maximum absolute deviation max_l |a(l) - b(l)| between two CDFs — the
 /// epsilon-feasibility test of Eq. (4) in the paper.

@@ -1,5 +1,6 @@
 #include "graph/engine.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <thread>
@@ -60,6 +61,17 @@ void for_each_shard(
   }
   body(0, 0, count / shards);
   for (auto& w : workers) w.join();
+}
+
+std::vector<NodeId> layered_path(const Workspace& ws, NodeId state,
+                                 std::uint32_t layers) {
+  std::vector<NodeId> path;
+  for (NodeId s = state;; s = ws.parent(s)) {
+    path.push_back(s / layers);
+    if (ws.parent(s) == s) break;  // the root is its own parent
+  }
+  std::reverse(path.begin(), path.end());
+  return path;
 }
 
 Workspace& tls_workspace() {

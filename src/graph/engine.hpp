@@ -1,12 +1,10 @@
 // Static-dispatch traversal engine.
 //
-// The legacy traversal entry points (BfsRunner::run_filtered,
-// connected_components_filtered, distance_cdf_from_sources) accept a
-// std::function edge predicate — one indirect call per edge relaxation, which
-// the compiler cannot inline or vectorize around. This header replaces that
-// with *filter structs* passed to function templates: the predicate body is
-// known at instantiation time and folds into the scan loop, so a dominated-
-// subgraph BFS costs the same as an unfiltered BFS plus two bitmask loads.
+// Every traversal in the system runs through the function templates below.
+// They take *filter structs* (or, for bfs_layered, a transition functor)
+// whose body is known at instantiation time and folds into the scan loop,
+// so a dominated-subgraph BFS costs the same as an unfiltered BFS plus two
+// bitmask loads — no indirect call per edge relaxation.
 //
 // Filters implement
 //     bool operator()(NodeId u, std::size_t slot, NodeId v) const
@@ -15,11 +13,10 @@
 // FaultPlane::edge_up_at(u, slot) instead of an O(log d) edge lookup.
 //
 // Determinism contract (see docs/ENGINE.md): every kernel visits vertices in
-// exactly the order the legacy code did — queue order for BFS, ascending
-// (u, slot) order for edge scans — so dist arrays, component labels, greedy
-// tie-breaks, and double accumulation orders are bit-identical to the
-// pre-engine implementation, and invariant under BSR_THREADS (parallel
-// reductions are integer-only and merged in shard order).
+// a fixed order — queue order for BFS, ascending (u, slot) order for edge
+// scans — so dist arrays, component labels, greedy tie-breaks, and double
+// accumulation orders are reproducible, and invariant under BSR_THREADS
+// (parallel reductions are integer-only and merged in shard order).
 #pragma once
 
 #include <algorithm>
@@ -27,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <vector>
 
 #include "graph/check.hpp"
@@ -79,22 +77,10 @@ struct BothFilters {
   }
 };
 
-/// Adapter for genuinely dynamic predicates (legacy EdgeFilter callers).
-/// Still one indirect call per edge — prefer the structs above on hot paths.
-struct FnFilter {
-  const std::function<bool(NodeId, NodeId)>* fn = nullptr;
-
-  bool operator()(NodeId u, std::size_t, NodeId v) const {
-    BSR_DCHECK(fn != nullptr);
-    return (*fn)(u, v);
-  }
-};
-
 // --- traversal kernels -----------------------------------------------------
 
 /// BFS from `source` over edges admitted by `admit`, writing dist/visit-order
-/// into `ws`. Visit order is identical to the legacy BfsRunner: FIFO queue,
-/// neighbors scanned in ascending adjacency order.
+/// into `ws`. FIFO queue, neighbors scanned in ascending adjacency order.
 template <class Filter>
 void bfs(const CsrGraph& g, NodeId source, Workspace& ws, Filter admit) {
   BSR_DCHECK(source < g.num_vertices());
@@ -162,7 +148,7 @@ void bfs_bounded(const CsrGraph& g, NodeId source, std::uint32_t max_depth,
 /// Requires a *symmetric* filter: admit(u, slot of v in u, v) must equal
 /// admit(v, slot of u in v, u) for every structural edge — true for
 /// AllEdges, DominatedEdgeFilter, FaultAwareFilter, and conjunctions
-/// thereof (an FnFilter wrapping an asymmetric predicate is not).
+/// thereof.
 ///
 /// Guarantees the exact distances and reachable set of bfs(); visit order
 /// *within a level* may differ (bottom-up levels discover in ascending
@@ -252,6 +238,120 @@ void bfs_dir_opt(const CsrGraph& g, NodeId source, Workspace& ws, Filter admit,
   BSR_COUNT_N(EngineBfsEdgesScanned, ws.stats_edges_scanned);
   BSR_COUNT_N(EngineBfsVerticesVisited, ws.frontier_size());
 }
+
+// --- layered-state BFS ------------------------------------------------------
+
+/// Transition verdict: the edge may not be taken from this layer.
+inline constexpr std::uint32_t kRejectLayer = kUnreachable;
+
+namespace detail {
+
+/// n / d for a runtime divisor 2 <= d and any 32-bit n, as one multiply-high
+/// with the precomputed c = ceil(2^64 / d) (Lemire, Kaser & Kurz, "Faster
+/// remainder by direct computation", 2019). A hardware divide per popped
+/// state measured ~25% of a valley-free path query on the scale-1.0 graph
+/// in a build that did not inline the scan into its caller.
+class DivideBy {
+ public:
+  explicit DivideBy(std::uint32_t d) : magic_(~std::uint64_t{0} / d + 1) {
+    BSR_DCHECK(d >= 2);
+  }
+  [[nodiscard]] std::uint32_t operator()(std::uint32_t n) const noexcept {
+    __extension__ using Uint128 = unsigned __int128;
+    return static_cast<std::uint32_t>((static_cast<Uint128>(magic_) * n) >> 64);
+  }
+
+ private:
+  std::uint64_t magic_;
+};
+
+// Flattened: the transition and every Workspace store inline into the scan
+// loop whatever else the including translation unit instantiates (GCC's
+// unit-growth limit otherwise outlines Workspace::discover or the
+// transition in TUs with several kernels: a call per edge or discovery,
+// measured ~15% of a Router query).
+template <bool kSingleLayer, class Transition>
+[[gnu::flatten]] NodeId bfs_layered_scan(const CsrGraph& g, NodeId source,
+                                         std::uint32_t layers, Workspace& ws,
+                                         Transition step, NodeId target) {
+  const NodeId start = source * layers;
+  const DivideBy vertex_of(kSingleLayer ? 2 : layers);  // unused with one layer
+  ws.discover(start, 0, start);
+  if (source == target) return start;
+  // FIFO order pops whole levels in turn, so the distance of the popped
+  // state is tracked from level boundaries instead of loaded per pop.
+  std::uint32_t depth = 0;
+  std::size_t level_end = 1;
+  for (std::size_t head = 0; head < ws.frontier_size(); ++head) {
+    if (head == level_end) {
+      ++depth;
+      level_end = ws.frontier_size();
+    }
+    const NodeId s = ws.frontier_at(head);
+    const NodeId u = kSingleLayer ? s : vertex_of(s);
+    const std::uint32_t layer = kSingleLayer ? 0 : s - u * layers;
+    const auto neigh = g.neighbors(u);
+    for (std::size_t i = 0; i < neigh.size(); ++i) {
+      const NodeId v = neigh[i];
+      NodeId t = v;
+      if constexpr (kSingleLayer) {
+        if (ws.visited(v) || step(u, i, v, 0u) == kRejectLayer) continue;
+      } else {
+        const std::uint32_t next = step(u, i, v, layer);
+        if (next == kRejectLayer) continue;
+        BSR_DCHECK(next < layers);
+        t = v * layers + next;
+        if (ws.visited(t)) continue;
+      }
+      ws.discover(t, depth + 1, s);
+      if (v == target) return t;
+    }
+  }
+  return kUnreachable;
+}
+
+}  // namespace detail
+
+/// BFS over (vertex, layer) states — the product of the graph with a small
+/// automaton (valley-free phases, heal budgets). The state id of (v, layer)
+/// is v * layers + layer; the traversal starts at (source, 0).
+///
+/// `step(u, slot, v, layer)` returns the layer that state (u, layer) reaches
+/// over the edge to v = g.neighbors(u)[slot], or kRejectLayer if the edge
+/// may not be taken from that layer. It is called once per (popped state,
+/// neighbor) pair, in FIFO queue order and ascending adjacency order — with
+/// one layer, only for neighbors not yet visited.
+///
+/// State dist/parent/visit order live in `ws`, indexed by state id, so a
+/// traversal costs O(states reached) and never clears or allocates
+/// O(V * layers) once the workspace has grown to that size. Parents are
+/// state ids; the root is its own parent (see layered_path).
+///
+/// With a `target` vertex, the search stops at the first discovery of any
+/// state of `target` and returns that state; otherwise (or if the target is
+/// unreachable) it runs to exhaustion and returns kUnreachable. With one
+/// layer this is exactly engine::bfs (same dist and visit order) without the
+/// traversal counters.
+template <class Transition>
+NodeId bfs_layered(const CsrGraph& g, NodeId source, std::uint32_t layers,
+                   Workspace& ws, Transition step, NodeId target = kUnreachable) {
+  BSR_DCHECK(source < g.num_vertices());
+  BSR_DCHECK(layers > 0);
+  const std::uint64_t states = std::uint64_t{g.num_vertices()} * layers;
+  if (states >= kUnreachable) {
+    throw std::length_error("bfs_layered: vertex * layer state space too large");
+  }
+  ws.begin(static_cast<NodeId>(states));
+  if (layers == 1) {
+    return detail::bfs_layered_scan<true>(g, source, 1, ws, step, target);
+  }
+  return detail::bfs_layered_scan<false>(g, source, layers, ws, step, target);
+}
+
+/// Vertex path from the traversal root to `state` (both inclusive), read
+/// off the parent chain a bfs_layered run with `layers` layers left in `ws`.
+[[nodiscard]] std::vector<NodeId> layered_path(const Workspace& ws, NodeId state,
+                                               std::uint32_t layers);
 
 /// Unions the endpoints of every admitted edge into `uf`. Edges are scanned
 /// in canonical ascending (u, v) order with u < v — the same order every

@@ -1,7 +1,5 @@
 #include "sim/router.hpp"
 
-#include <algorithm>
-
 #include "graph/check.hpp"
 #include "graph/engine.hpp"
 #include "graph/sampling.hpp"
@@ -54,28 +52,16 @@ void Router::set_health_view(const HealthView* view) {
 
 template <class Filter>
 Route Router::route_scan(NodeId src, NodeId dst, Filter admit) {
+  namespace engine = bsr::graph::engine;
   Route route;
-  ws_.begin(graph_->num_vertices());
-  ws_.discover(src, 0, src);
-  for (std::size_t head = 0; head < ws_.frontier_size(); ++head) {
-    const NodeId u = ws_.frontier_at(head);
-    const std::uint32_t du = ws_.dist_unchecked(u);
-    const auto nbrs = graph_->neighbors(u);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const NodeId v = nbrs[i];
-      if (ws_.visited(v) || !admit(u, i, v)) continue;
-      ws_.discover(v, du + 1, u);
-      if (v == dst) {
-        route.path.push_back(dst);
-        for (NodeId w = dst; w != src; w = ws_.parent(w)) {
-          route.path.push_back(ws_.parent(w));
-        }
-        std::reverse(route.path.begin(), route.path.end());
-        return route;
-      }
-    }
-  }
-  return route;  // unreachable
+  const NodeId goal = engine::bfs_layered(
+      *graph_, src, 1, ws_,
+      [admit](NodeId u, std::size_t i, NodeId v, std::uint32_t) {
+        return admit(u, i, v) ? 0u : engine::kRejectLayer;
+      },
+      dst);
+  if (goal != kUnreachable) route.path = engine::layered_path(ws_, goal, 1);
+  return route;
 }
 
 Route Router::route_impl(NodeId src, NodeId dst, bool dominated) {
@@ -110,52 +96,26 @@ Route Router::route_healed(NodeId src, NodeId dst, std::uint32_t max_heals,
   // BFS over (vertex, heals-used) states: dominated edges only, vertices
   // must be up, and crossing a *failed* dominated link consumes one heal.
   // First arrival at dst (any heal count) is the min-hop degraded route.
+  namespace engine = bsr::graph::engine;
   healed_links = 0;
   Route route;
   const std::uint32_t layers = max_heals + 1;
-  const std::size_t num_states =
-      static_cast<std::size_t>(graph_->num_vertices()) * layers;
-  BSR_DCHECK(num_states < kUnreachable);
-  state_parent_.assign(num_states, kUnreachable);
-  state_queue_.clear();
-
-  const auto state_of = [layers](NodeId v, std::uint32_t heals) {
-    return static_cast<std::uint32_t>(v) * layers + heals;
-  };
-  const std::uint32_t start = state_of(src, 0);
-  state_parent_[start] = start;
-  state_queue_.push_back(start);
-  BSR_GAUGE_MAX(RouterStateHighWater, num_states);
-  for (std::size_t head = 0; head < state_queue_.size(); ++head) {
-    const std::uint32_t s = state_queue_[head];
-    const NodeId u = s / layers;
-    const std::uint32_t heals = s % layers;
-    const auto nbrs = graph_->neighbors(u);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const NodeId v = nbrs[i];
-      if (!brokers_->dominates_edge(u, v)) continue;
-      if (!faults_->vertex_ok(v)) continue;
-      std::uint32_t next_heals = heals;
-      if (!faults_->edge_up_at(u, i)) {
-        if (heals == max_heals) continue;  // heal budget exhausted
-        ++next_heals;
-      }
-      const std::uint32_t t = state_of(v, next_heals);
-      if (state_parent_[t] != kUnreachable) continue;
-      state_parent_[t] = s;
-      if (v == dst) {
-        healed_links = next_heals;
-        for (std::uint32_t w = t; w != start; w = state_parent_[w]) {
-          route.path.push_back(w / layers);
+  BSR_GAUGE_MAX(RouterStateHighWater,
+                static_cast<std::size_t>(graph_->num_vertices()) * layers);
+  const NodeId goal = engine::bfs_layered(
+      *graph_, src, layers, ws_,
+      [this, max_heals](NodeId u, std::size_t i, NodeId v, std::uint32_t heals) {
+        if (!brokers_->dominates_edge(u, v) || !faults_->vertex_ok(v)) {
+          return engine::kRejectLayer;
         }
-        route.path.push_back(src);
-        std::reverse(route.path.begin(), route.path.end());
-        return route;
-      }
-      state_queue_.push_back(t);
-    }
-  }
-  return route;  // unreachable within the heal budget
+        if (faults_->edge_up_at(u, i)) return heals;
+        return heals == max_heals ? engine::kRejectLayer : heals + 1;
+      },
+      dst);
+  if (goal == kUnreachable) return route;  // unreachable within the budget
+  healed_links = goal % layers;
+  route.path = engine::layered_path(ws_, goal, layers);
+  return route;
 }
 
 Route Router::route_free(NodeId src, NodeId dst) {

@@ -131,8 +131,8 @@ class Router {
 
  private:
   Route route_impl(bsr::graph::NodeId src, bsr::graph::NodeId dst, bool dominated);
-  /// Early-exit BFS with a static-dispatch edge filter; defined in router.cpp
-  /// (all four instantiations live there).
+  /// Early-exit single-layer engine::bfs_layered with a static-dispatch edge
+  /// filter; defined in router.cpp (all four instantiations live there).
   template <class Filter>
   Route route_scan(bsr::graph::NodeId src, bsr::graph::NodeId dst, Filter admit);
   Route route_healed(bsr::graph::NodeId src, bsr::graph::NodeId dst,
@@ -142,9 +142,9 @@ class Router {
   const bsr::broker::BrokerSet* brokers_;
   const bsr::graph::FaultPlane* faults_ = nullptr;
   const HealthView* health_view_ = nullptr;
-  bsr::graph::engine::Workspace ws_;          // epoch-stamped; no O(V) clears
-  std::vector<std::uint32_t> state_parent_;  // (vertex, heals) product BFS
-  std::vector<std::uint32_t> state_queue_;
+  /// Epoch-stamped; holds vertex states, and (vertex, heals) states for
+  /// route_healed, so no call clears or allocates O(V) memory.
+  bsr::graph::engine::Workspace ws_;
 };
 
 /// Tier composition over sampled (src != dst) pairs — the operator's

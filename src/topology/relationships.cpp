@@ -1,10 +1,9 @@
 #include "topology/relationships.hpp"
 
-#include "graph/bfs.hpp"
-
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
+
+#include "graph/engine.hpp"
 
 namespace bsr::topology {
 
@@ -12,6 +11,9 @@ using bsr::graph::CsrGraph;
 using bsr::graph::Edge;
 using bsr::graph::kUnreachable;
 using bsr::graph::NodeId;
+using bsr::graph::engine::kRejectLayer;
+
+namespace engine = bsr::graph::engine;
 
 EdgeRelations::EdgeRelations(const CsrGraph& g, std::span<const Edge> edges,
                              std::span<const EdgeRel> rels) {
@@ -43,15 +45,19 @@ EdgeRelations::EdgeRelations(const CsrGraph& g, std::span<const Edge> edges,
 }
 
 std::size_t EdgeRelations::slot(NodeId u, NodeId v) const {
+  if (u + std::size_t{1} >= offsets_.size()) {
+    throw std::invalid_argument("EdgeRelations: vertex out of range");
+  }
   const auto begin = adjacency_.begin() + static_cast<std::ptrdiff_t>(offsets_[u]);
   const auto end = adjacency_.begin() + static_cast<std::ptrdiff_t>(offsets_[u + 1]);
   const auto it = std::lower_bound(begin, end, v);
-  assert(it != end && *it == v);
+  if (it == end || *it != v) {
+    throw std::invalid_argument("EdgeRelations: not an edge");
+  }
   return static_cast<std::size_t>(it - adjacency_.begin());
 }
 
 EdgeRel EdgeRelations::rel_canonical(NodeId u, NodeId v) const {
-  if (rel_by_slot_.empty()) throw std::logic_error("EdgeRelations: empty");
   if (u > v) std::swap(u, v);
   return rel_by_slot_[slot(u, v)];
 }
@@ -77,60 +83,71 @@ double EdgeRelations::peer_fraction() const {
   return static_cast<double>(peers) / static_cast<double>(rel_by_slot_.size());
 }
 
+namespace {
+
+// Phases of a valley-free walk, the layers of its state-expanded BFS:
+//   0 = still climbing (only c2p hops so far)
+//   1 = crossed the single allowed peer hop
+//   2 = descending (one or more p2c hops taken)
+// Allowed transitions from phase p over edge u->v:
+//   c2p (v is u's provider): only from phase 0, stay 0
+//   peer:                    from phase 0, go to 1
+//   p2c (v is u's customer): from any phase, go to 2
+//   override edge:           from any phase, keep phase
+constexpr std::uint32_t kPhases = 3;
+
+/// Valley-free transition over EdgeRelations' slot-aligned label rows. It
+/// keeps the row of the vertex being expanded (the kernel offers every
+/// neighbor of one popped state in turn), so an edge costs one label load
+/// instead of re-deriving the row — that shorter chain feeds the
+/// hard-to-predict branch on the label (~10% of a short valley_free_path
+/// query on the scale-1.0 graph).
+class ValleyFreeStep {
+ public:
+  explicit ValleyFreeStep(const EdgeRelations& rels) : rels_(&rels) {}
+
+  std::uint32_t operator()(NodeId u, std::size_t slot, NodeId v, std::uint32_t phase) {
+    if (u != row_vertex_) {
+      row_vertex_ = u;
+      row_ = rels_->canonical_rels_of(u).data();
+    }
+    const EdgeRel rel = row_[slot];
+    if (rel == EdgeRel::kPeer) return phase == 0 ? 1 : kRejectLayer;
+    if (EdgeRelations::rel_means_v_provides_u(rel, u, v)) {
+      return phase == 0 ? 0 : kRejectLayer;
+    }
+    return 2;  // p2c hop allowed from any phase
+  }
+
+ private:
+  const EdgeRelations* rels_;
+  NodeId row_vertex_ = kUnreachable;
+  const EdgeRel* row_ = nullptr;
+};
+
+}  // namespace
+
 std::vector<std::uint32_t> valley_free_distances(
     const CsrGraph& g, const EdgeRelations& rels, NodeId source,
     const std::function<bool(NodeId, NodeId)>& edge_ok,
     const EdgeOverrideFn& override_edge) {
-  assert(source < g.num_vertices());
-  // State-expanded BFS. Phases of a valley-free walk:
-  //   0 = still climbing (only c2p hops so far)
-  //   1 = crossed the single allowed peer hop
-  //   2 = descending (one or more p2c hops taken)
-  // Allowed transitions from phase p over edge u->v:
-  //   c2p (v is u's provider): only from phase 0, stay 0
-  //   peer:                    from phase 0, go to 1
-  //   p2c (v is u's customer): from any phase, go to 2
-  //   override edge:           from any phase, keep phase
-  constexpr int kPhases = 3;
-  const NodeId n = g.num_vertices();
-  std::vector<std::uint32_t> dist_state(static_cast<std::size_t>(n) * kPhases,
-                                        kUnreachable);
-  std::vector<std::uint32_t> dist(n, kUnreachable);
-  std::vector<std::uint64_t> queue;  // encoded state: v * kPhases + phase
-  queue.reserve(n);
-
-  const auto push = [&](NodeId v, int phase, std::uint32_t d) {
-    const std::size_t idx = static_cast<std::size_t>(v) * kPhases + phase;
-    if (dist_state[idx] != kUnreachable) return;
-    dist_state[idx] = d;
-    dist[v] = std::min(dist[v], d);
-    queue.push_back(idx);
-  };
-
-  push(source, 0, 0);
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const std::uint64_t state = queue[head];
-    const auto u = static_cast<NodeId>(state / kPhases);
-    const int phase = static_cast<int>(state % kPhases);
-    const std::uint32_t du = dist_state[state];
-    const auto nbrs = g.neighbors(u);
-    const auto rel_row = rels.canonical_rels_of(u);  // slot-aligned: O(1)/edge
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const NodeId v = nbrs[i];
-      if (edge_ok && !edge_ok(u, v)) continue;
-      if (override_edge && override_edge(u, v)) {
-        push(v, phase, du + 1);
-        continue;
-      }
-      const EdgeRel rel = rel_row[i];
-      if (rel == EdgeRel::kPeer) {
-        if (phase == 0) push(v, 1, du + 1);
-      } else if (EdgeRelations::rel_means_v_provides_u(rel, u, v)) {
-        if (phase == 0) push(v, 0, du + 1);
-      } else {
-        push(v, 2, du + 1);  // p2c hop allowed from any phase
-      }
-    }
+  if (source >= g.num_vertices()) {
+    throw std::out_of_range("valley_free_distances: source out of range");
+  }
+  auto& ws = engine::tls_workspace();
+  engine::bfs_layered(g, source, kPhases, ws,
+                      [&, step = ValleyFreeStep(rels)](NodeId u, std::size_t slot,
+                                                       NodeId v,
+                                                       std::uint32_t phase) mutable {
+                        if (edge_ok && !edge_ok(u, v)) return kRejectLayer;
+                        if (override_edge && override_edge(u, v)) return phase;
+                        return step(u, slot, v, phase);
+                      });
+  // Visit order is BFS order, so the first state of v seen is its distance.
+  std::vector<std::uint32_t> dist(g.num_vertices(), kUnreachable);
+  for (const NodeId state : ws.visit_order()) {
+    std::uint32_t& d = dist[state / kPhases];
+    if (d == kUnreachable) d = ws.dist_unchecked(state);
   }
   return dist;
 }
@@ -139,65 +156,12 @@ std::vector<NodeId> valley_free_path(const CsrGraph& g, const EdgeRelations& rel
                                      NodeId src, NodeId dst) {
   if (src >= g.num_vertices() || dst >= g.num_vertices()) return {};
   if (src == dst) return {src};
-
-  constexpr int kPhases = 3;
-  const std::size_t states = static_cast<std::size_t>(g.num_vertices()) * kPhases;
-  constexpr std::uint64_t kNoParent = ~0ull;
-  std::vector<std::uint64_t> parent(states, kNoParent);
-  std::vector<std::uint64_t> queue;
-
-  const auto push = [&](NodeId v, int phase, std::uint64_t from_state) {
-    const std::size_t idx = static_cast<std::size_t>(v) * kPhases + phase;
-    if (parent[idx] != kNoParent) return;
-    parent[idx] = from_state;
-    queue.push_back(idx);
-  };
-
-  const std::size_t start = static_cast<std::size_t>(src) * kPhases;
-  parent[start] = start;  // self-parent marks the root
-  queue.push_back(start);
-  std::size_t goal_state = kNoParent;
-  for (std::size_t head = 0; head < queue.size() && goal_state == kNoParent; ++head) {
-    const std::uint64_t state = queue[head];
-    const auto u = static_cast<NodeId>(state / kPhases);
-    const int phase = static_cast<int>(state % kPhases);
-    const auto nbrs = g.neighbors(u);
-    const auto rel_row = rels.canonical_rels_of(u);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const NodeId v = nbrs[i];
-      const EdgeRel rel = rel_row[i];
-      if (rel == EdgeRel::kPeer) {
-        if (phase == 0) push(v, 1, state);
-      } else if (EdgeRelations::rel_means_v_provides_u(rel, u, v)) {
-        if (phase == 0) push(v, 0, state);
-      } else {
-        push(v, 2, state);
-      }
-      if (v == dst) {
-        // First time dst enters the queue is a shortest admissible path.
-        for (int p = 0; p < kPhases; ++p) {
-          const std::size_t idx = static_cast<std::size_t>(dst) * kPhases + p;
-          if (parent[idx] != kNoParent) {
-            goal_state = idx;
-            break;
-          }
-        }
-        if (goal_state != kNoParent) break;
-      }
-    }
-  }
-  if (goal_state == kNoParent) return {};
-
-  std::vector<NodeId> path;
-  std::uint64_t state = goal_state;
-  while (true) {
-    path.push_back(static_cast<NodeId>(state / kPhases));
-    const std::uint64_t up = parent[state];
-    if (up == state) break;  // root
-    state = up;
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
+  auto& ws = engine::tls_workspace();
+  // The first state of dst discovered ends a shortest admissible path.
+  const NodeId goal =
+      engine::bfs_layered(g, src, kPhases, ws, ValleyFreeStep(rels), dst);
+  if (goal == kUnreachable) return {};
+  return engine::layered_path(ws, goal, kPhases);
 }
 
 std::vector<EdgeRel> infer_relationships_by_degree(const CsrGraph& g,

@@ -46,6 +46,8 @@ class EdgeRelations {
 
   /// Relationship of edge (u, v) from u's point of view:
   /// returns kUProviderOfV if u is v's provider (canonicalized internally).
+  /// The three lookups below throw std::invalid_argument when {u, v} is not
+  /// an edge of the graph (including out-of-range vertices).
   [[nodiscard]] EdgeRel rel_canonical(bsr::graph::NodeId u,
                                       bsr::graph::NodeId v) const;
 
@@ -92,7 +94,10 @@ using EdgeOverrideFn = std::function<bool(bsr::graph::NodeId, bsr::graph::NodeId
 /// Override edges may be used at any point without changing phase.
 /// `edge_ok` (optional) additionally restricts usable edges — pass the
 /// dominated-subgraph predicate to evaluate broker sets under policy.
-/// Returns hop distances (graph::kUnreachable when unreachable).
+/// Empty predicates are never called. Returns hop distances
+/// (graph::kUnreachable when unreachable); throws std::out_of_range if
+/// `source` is not a vertex of `g`. Runs engine::bfs_layered with one layer
+/// per phase in the calling thread's engine::tls_workspace().
 [[nodiscard]] std::vector<std::uint32_t> valley_free_distances(
     const bsr::graph::CsrGraph& g, const EdgeRelations& rels,
     bsr::graph::NodeId source,
@@ -101,8 +106,8 @@ using EdgeOverrideFn = std::function<bool(bsr::graph::NodeId, bsr::graph::NodeId
 
 /// Shortest valley-free path src..dst as a vertex sequence (what a
 /// hop-count-minimizing BGP decision process would pick under export
-/// policies); empty if unreachable. Same state-expanded BFS as
-/// valley_free_distances, with parent tracking.
+/// policies); empty if unreachable or either endpoint is out of range. Same
+/// layered BFS as valley_free_distances, stopped at the first state of dst.
 [[nodiscard]] std::vector<bsr::graph::NodeId> valley_free_path(
     const bsr::graph::CsrGraph& g, const EdgeRelations& rels,
     bsr::graph::NodeId src, bsr::graph::NodeId dst);

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/engine.hpp"
 #include "graph/graph_builder.hpp"
 #include "test_util.hpp"
 
 namespace bsr::graph {
 namespace {
 
+using bsr::test::dense_dist;
 using bsr::test::make_connected_random;
 using bsr::test::make_cycle;
 using bsr::test::make_path;
@@ -17,8 +19,9 @@ using bsr::test::naive_bfs;
 
 TEST(Bfs, PathGraphDistances) {
   const CsrGraph g = make_path(5);
-  const auto dist = bfs_distances(g, 0);
-  for (NodeId v = 0; v < 5; ++v) EXPECT_EQ(dist[v], v);
+  engine::Workspace ws;
+  engine::bfs(g, 0, ws, engine::AllEdges{});
+  for (NodeId v = 0; v < 5; ++v) EXPECT_EQ(ws.dist(v), v);
 }
 
 TEST(Bfs, UnreachableVertices) {
@@ -26,41 +29,42 @@ TEST(Bfs, UnreachableVertices) {
   b.add_edge(0, 1);
   b.add_edge(2, 3);
   const CsrGraph g = b.build();
-  const auto dist = bfs_distances(g, 0);
-  EXPECT_EQ(dist[1], 1u);
-  EXPECT_EQ(dist[2], kUnreachable);
-  EXPECT_EQ(dist[3], kUnreachable);
+  engine::Workspace ws;
+  engine::bfs(g, 0, ws, engine::AllEdges{});
+  EXPECT_EQ(ws.dist(1), 1u);
+  EXPECT_EQ(ws.dist(2), kUnreachable);
+  EXPECT_EQ(ws.dist(3), kUnreachable);
 }
 
-TEST(Bfs, RunnerReusableAcrossSources) {
+TEST(Bfs, WorkspaceReusableAcrossSources) {
   const CsrGraph g = make_cycle(8);
-  BfsRunner runner(g.num_vertices());
-  const auto d0 = runner.run(g, 0);
-  EXPECT_EQ(d0[4], 4u);
-  const auto d3 = runner.run(g, 3);
-  EXPECT_EQ(d3[3], 0u);
-  EXPECT_EQ(d3[7], 4u);
-  EXPECT_EQ(d3[0], 3u);
+  engine::Workspace ws(g.num_vertices());
+  engine::bfs(g, 0, ws, engine::AllEdges{});
+  EXPECT_EQ(ws.dist(4), 4u);
+  engine::bfs(g, 3, ws, engine::AllEdges{});
+  EXPECT_EQ(ws.dist(3), 0u);
+  EXPECT_EQ(ws.dist(7), 4u);
+  EXPECT_EQ(ws.dist(0), 3u);
 }
 
 TEST(Bfs, FilteredBfsRespectsPredicate) {
   const CsrGraph g = make_path(5);
-  BfsRunner runner(g.num_vertices());
+  engine::Workspace ws;
   // Block the 2-3 edge: everything past vertex 2 unreachable.
-  const auto dist = runner.run_filtered(g, 0, [](NodeId u, NodeId v) {
+  engine::bfs(g, 0, ws, [](NodeId u, std::size_t, NodeId v) {
     return !((u == 2 && v == 3) || (u == 3 && v == 2));
   });
-  EXPECT_EQ(dist[2], 2u);
-  EXPECT_EQ(dist[3], kUnreachable);
-  EXPECT_EQ(dist[4], kUnreachable);
+  EXPECT_EQ(ws.dist(2), 2u);
+  EXPECT_EQ(ws.dist(3), kUnreachable);
+  EXPECT_EQ(ws.dist(4), kUnreachable);
 }
 
 TEST(Bfs, BoundedBfsStopsAtDepth) {
   const CsrGraph g = make_path(10);
-  BfsRunner runner(g.num_vertices());
-  const auto dist = runner.run_bounded(g, 0, 3);
-  EXPECT_EQ(dist[3], 3u);
-  EXPECT_EQ(dist[4], kUnreachable);
+  engine::Workspace ws;
+  engine::bfs_bounded(g, 0, 3, ws, engine::AllEdges{});
+  EXPECT_EQ(ws.dist(3), 3u);
+  EXPECT_EQ(ws.dist(4), kUnreachable);
 }
 
 TEST(Bfs, ShortestPathEndpoints) {
@@ -84,10 +88,13 @@ TEST(Bfs, ShortestPathTrivialAndUnreachable) {
 
 TEST(Bfs, StarGraphAllWithinTwo) {
   const CsrGraph g = make_star(20);
-  const auto dist = bfs_distances(g, 5);
-  EXPECT_EQ(dist[0], 1u);
+  engine::Workspace ws;
+  engine::bfs(g, 5, ws, engine::AllEdges{});
+  EXPECT_EQ(ws.dist(0), 1u);
   for (NodeId v = 1; v < 20; ++v) {
-    if (v != 5) EXPECT_EQ(dist[v], 2u);
+    if (v != 5) {
+      EXPECT_EQ(ws.dist(v), 2u);
+    }
   }
 }
 
@@ -95,9 +102,10 @@ class BfsRandomTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(BfsRandomTest, MatchesNaiveReference) {
   const CsrGraph g = make_random(60, 0.08, GetParam());
-  BfsRunner runner(g.num_vertices());
+  engine::Workspace ws(g.num_vertices());
   for (NodeId s = 0; s < g.num_vertices(); s += 7) {
-    const auto fast = runner.run(g, s);
+    engine::bfs(g, s, ws, engine::AllEdges{});
+    const auto fast = dense_dist(ws, g.num_vertices());
     const auto reference = naive_bfs(g, s);
     for (NodeId v = 0; v < g.num_vertices(); ++v) {
       EXPECT_EQ(fast[v], reference[v]) << "source " << s << " vertex " << v;
@@ -107,7 +115,7 @@ TEST_P(BfsRandomTest, MatchesNaiveReference) {
 
 TEST_P(BfsRandomTest, ShortestPathLengthMatchesDistance) {
   const CsrGraph g = make_connected_random(40, 0.1, GetParam());
-  const auto dist = bfs_distances(g, 0);
+  const auto dist = naive_bfs(g, 0);
   for (NodeId t = 1; t < g.num_vertices(); t += 5) {
     const auto path = bfs_shortest_path(g, 0, t);
     ASSERT_FALSE(path.empty());

@@ -4,8 +4,9 @@
 
 #include <numeric>
 
-#include "graph/bfs.hpp"
+#include "graph/engine.hpp"
 #include "graph/graph_builder.hpp"
+#include "graph/rollback_union_find.hpp"
 #include "test_util.hpp"
 
 namespace bsr::graph {
@@ -47,15 +48,17 @@ TEST(Components, SizesSumToVertexCount) {
   EXPECT_EQ(total, g.num_vertices());
 }
 
-TEST(Components, FilteredComponentsRespectPredicate) {
+TEST(Components, FilteredUnionRespectsPredicate) {
   const CsrGraph g = make_complete(5);
   // Only edges incident to vertex 0 allowed -> star components.
-  const Components c = connected_components_filtered(
-      g, [](NodeId u, NodeId v) { return u == 0 || v == 0; });
-  EXPECT_EQ(c.count, 1u);  // star around 0 still connects everything
-  const Components none = connected_components_filtered(
-      g, [](NodeId, NodeId) { return false; });
-  EXPECT_EQ(none.count, 5u);
+  RollbackUnionFind star(g.num_vertices());
+  engine::unite_edges(g, star, [](NodeId u, std::size_t, NodeId v) {
+    return u == 0 || v == 0;
+  });
+  EXPECT_EQ(star.num_components(), 1u);  // star around 0 still connects everything
+  RollbackUnionFind none(g.num_vertices());
+  engine::unite_edges(g, none, [](NodeId, std::size_t, NodeId) { return false; });
+  EXPECT_EQ(none.num_components(), 5u);
 }
 
 TEST(Components, LargestComponentVertices) {
@@ -79,11 +82,11 @@ class ComponentsRandomTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(ComponentsRandomTest, AgreesWithBfsReachability) {
   const CsrGraph g = make_random(45, 0.05, GetParam());
   const Components c = connected_components(g);
-  BfsRunner runner(g.num_vertices());
+  engine::Workspace ws(g.num_vertices());
   for (NodeId s = 0; s < g.num_vertices(); s += 9) {
-    const auto dist = runner.run(g, s);
+    engine::bfs(g, s, ws, engine::AllEdges{});
     for (NodeId v = 0; v < g.num_vertices(); ++v) {
-      EXPECT_EQ(dist[v] != kUnreachable, c.label[v] == c.label[s]);
+      EXPECT_EQ(ws.visited(v), c.label[v] == c.label[s]);
     }
   }
 }

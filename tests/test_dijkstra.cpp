@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/bfs.hpp"
+#include "graph/engine.hpp"
 #include "graph/graph_builder.hpp"
 #include "test_util.hpp"
 
@@ -17,7 +17,9 @@ const EdgeWeightFn kUnitWeight = [](NodeId, NodeId) { return 1.0; };
 TEST(Dijkstra, UnitWeightsMatchBfs) {
   const CsrGraph g = make_connected_random(50, 0.1, 77);
   const auto result = dijkstra(g, 0, kUnitWeight);
-  const auto bfs = bfs_distances(g, 0);
+  engine::Workspace ws;
+  engine::bfs(g, 0, ws, engine::AllEdges{});
+  const auto bfs = bsr::test::dense_dist(ws, g.num_vertices());
   for (NodeId v = 0; v < g.num_vertices(); ++v) {
     ASSERT_NE(bfs[v], kUnreachable);
     EXPECT_DOUBLE_EQ(result.distance[v], static_cast<double>(bfs[v]));

@@ -59,7 +59,8 @@ TEST(DistanceCdf, FilteredEdgesChangeDistribution) {
   const CsrGraph g = make_cycle(6);
   // Remove one edge: cycle becomes path, distances grow.
   const auto full = distance_cdf_exact(g);
-  const auto cut = distance_cdf_exact(g, [](NodeId u, NodeId v) {
+  const std::vector<NodeId> all{0, 1, 2, 3, 4, 5};
+  const auto cut = distance_cdf_from_sources_with(g, all, [](NodeId u, std::size_t, NodeId v) {
     return !((u == 0 && v == 5) || (u == 5 && v == 0));
   });
   EXPECT_GT(full.at(2), cut.at(2));

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/bfs.hpp"
+#include "graph/engine.hpp"
 #include "test_util.hpp"
 
 namespace bsr::broker {
@@ -20,13 +20,14 @@ using bsr::test::make_star;
 double naive_saturated(const CsrGraph& g, const BrokerSet& b) {
   const NodeId n = g.num_vertices();
   if (n < 2) return 0.0;
-  bsr::graph::BfsRunner runner(n);
-  const auto filter = dominated_edge_filter(b);
+  namespace engine = bsr::graph::engine;
+  engine::Workspace ws(n);
+  const engine::DominatedEdgeFilter filter{&b.mask()};
   std::uint64_t connected = 0;
   for (NodeId u = 0; u < n; ++u) {
-    const auto dist = runner.run_filtered(g, u, filter);
+    engine::bfs(g, u, ws, filter);
     for (NodeId v = u + 1; v < n; ++v) {
-      if (dist[v] != bsr::graph::kUnreachable) ++connected;
+      if (ws.visited(v)) ++connected;
     }
   }
   return static_cast<double>(connected) /
@@ -37,10 +38,10 @@ TEST(Dominated, FilterAdmitsBrokerEdgesOnly) {
   const CsrGraph g = make_path(4);
   BrokerSet b(4);
   b.add(1);
-  const auto filter = dominated_edge_filter(b);
-  EXPECT_TRUE(filter(0, 1));
-  EXPECT_TRUE(filter(1, 2));
-  EXPECT_FALSE(filter(2, 3));
+  const bsr::graph::engine::DominatedEdgeFilter filter{&b.mask()};
+  EXPECT_TRUE(filter(0, 0, 1));
+  EXPECT_TRUE(filter(1, 1, 2));
+  EXPECT_FALSE(filter(2, 1, 3));
 }
 
 TEST(Dominated, StarCenterConnectsEverything) {

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
+#include <queue>
 #include <vector>
 
 #include "graph/bfs.hpp"
@@ -18,6 +18,7 @@
 namespace bsr::graph {
 namespace {
 
+using bsr::test::dense_dist;
 using bsr::test::make_connected_random;
 using bsr::test::make_path;
 using bsr::test::make_random;
@@ -30,11 +31,35 @@ std::vector<bool> random_mask(NodeId n, double p, std::uint64_t seed) {
   return mask;
 }
 
-/// Dense distances out of a workspace, kUnreachable where unvisited.
-std::vector<std::uint32_t> dense_dist(const engine::Workspace& ws, NodeId n) {
-  std::vector<std::uint32_t> out(n);
-  for (NodeId v = 0; v < n; ++v) out[v] = ws.dist(v);
+/// Textbook FIFO BFS over edges with admit(u, v): distances and the order
+/// vertices are discovered in. Independent of the engine and its Workspace.
+struct ReferenceBfs {
+  std::vector<std::uint32_t> dist;
+  std::vector<NodeId> order;
+};
+
+template <class Admit>
+ReferenceBfs reference_bfs(const CsrGraph& g, NodeId source, Admit admit) {
+  ReferenceBfs out{std::vector<std::uint32_t>(g.num_vertices(), kUnreachable), {}};
+  std::queue<NodeId> queue;
+  out.dist[source] = 0;
+  out.order.push_back(source);
+  queue.push(source);
+  while (!queue.empty()) {
+    const NodeId u = queue.front();
+    queue.pop();
+    for (const NodeId v : g.neighbors(u)) {
+      if (out.dist[v] != kUnreachable || !admit(u, v)) continue;
+      out.dist[v] = out.dist[u] + 1;
+      out.order.push_back(v);
+      queue.push(v);
+    }
+  }
   return out;
+}
+
+std::vector<NodeId> visit_order(const engine::Workspace& ws) {
+  return {ws.visit_order().begin(), ws.visit_order().end()};
 }
 
 TEST(Engine, UnfilteredBfsMatchesNaive) {
@@ -48,37 +73,21 @@ TEST(Engine, UnfilteredBfsMatchesNaive) {
   }
 }
 
-TEST(Engine, FilteredKernelBitIdenticalToStdFunctionPath) {
-  // The static-dispatch kernel and the legacy std::function BfsRunner must
-  // produce identical dense distance arrays for the same admission rule.
+TEST(Engine, FilteredKernelMatchesTextbookBfs) {
+  // Same admission rule, same distances *and* the same discovery order as a
+  // std::queue BFS: the static-dispatch kernel is a plain FIFO BFS.
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     const CsrGraph g = make_connected_random(120, 0.03, seed);
     const std::vector<bool> mask = random_mask(g.num_vertices(), 0.3, seed + 100);
-    const std::function<bool(NodeId, NodeId)> legacy_filter =
-        [&mask](NodeId u, NodeId v) { return mask[u] || mask[v]; };
-
-    BfsRunner runner(g.num_vertices());
     engine::Workspace ws;
     for (NodeId s = 0; s < g.num_vertices(); s += 23) {
-      const auto legacy = runner.run_filtered(g, s, legacy_filter);
+      const ReferenceBfs ref = reference_bfs(
+          g, s, [&mask](NodeId u, NodeId v) { return mask[u] || mask[v]; });
       engine::bfs(g, s, ws, engine::DominatedEdgeFilter{&mask});
-      const auto fast = dense_dist(ws, g.num_vertices());
-      EXPECT_EQ(fast, std::vector<std::uint32_t>(legacy.begin(), legacy.end()));
+      EXPECT_EQ(dense_dist(ws, g.num_vertices()), ref.dist);
+      EXPECT_EQ(visit_order(ws), ref.order);
     }
   }
-}
-
-TEST(Engine, FnFilterAdapterMatchesStructFilter) {
-  const CsrGraph g = make_connected_random(90, 0.04, 7);
-  const std::vector<bool> mask = random_mask(g.num_vertices(), 0.25, 8);
-  const std::function<bool(NodeId, NodeId)> fn = [&mask](NodeId u, NodeId v) {
-    return mask[u] || mask[v];
-  };
-  engine::Workspace ws_fn, ws_struct;
-  engine::bfs(g, 0, ws_fn, engine::FnFilter{&fn});
-  engine::bfs(g, 0, ws_struct, engine::DominatedEdgeFilter{&mask});
-  EXPECT_EQ(dense_dist(ws_fn, g.num_vertices()),
-            dense_dist(ws_struct, g.num_vertices()));
 }
 
 TEST(Engine, FaultAwareFilterMatchesMaterializedGraph) {
@@ -200,21 +209,143 @@ TEST(Engine, UniteEdgesMatchesConnectedComponents) {
   }
 }
 
-TEST(Engine, TemplatedCdfBitIdenticalToLegacyFilterPath) {
+TEST(Engine, TemplatedCdfBitIdenticalToReferenceHistogram) {
   const CsrGraph g = make_connected_random(150, 0.03, 11);
   const std::vector<bool> mask = random_mask(g.num_vertices(), 0.35, 12);
-  const EdgeFilter legacy = [&mask](NodeId u, NodeId v) { return mask[u] || mask[v]; };
   std::vector<NodeId> sources;
   for (NodeId v = 0; v < g.num_vertices(); v += 3) sources.push_back(v);
 
-  const DistanceCdf via_fn = distance_cdf_from_sources(g, sources, legacy);
+  std::vector<std::uint64_t> histogram(1, 0);
+  for (const NodeId s : sources) {
+    const ReferenceBfs ref = reference_bfs(
+        g, s, [&mask](NodeId u, NodeId v) { return mask[u] || mask[v]; });
+    for (const std::uint32_t d : ref.dist) {
+      if (d == 0 || d == kUnreachable) continue;
+      if (d >= histogram.size()) histogram.resize(d + 1, 0);
+      ++histogram[d];
+    }
+  }
   const DistanceCdf via_struct =
       distance_cdf_from_sources_with(g, sources, engine::DominatedEdgeFilter{&mask});
-  ASSERT_EQ(via_fn.cdf.size(), via_struct.cdf.size());
-  for (std::size_t l = 0; l < via_fn.cdf.size(); ++l) {
-    EXPECT_EQ(via_fn.cdf[l], via_struct.cdf[l]);  // bit-identical, not approx
+  ASSERT_EQ(via_struct.cdf.size(), histogram.size());
+  const double denom =
+      static_cast<double>(sources.size()) * static_cast<double>(g.num_vertices() - 1);
+  std::uint64_t running = 0;
+  for (std::size_t l = 1; l < histogram.size(); ++l) {
+    running += histogram[l];
+    EXPECT_EQ(via_struct.cdf[l], static_cast<double>(running) / denom);  // exact
   }
-  EXPECT_EQ(via_fn.reachable, via_struct.reachable);
+  EXPECT_EQ(via_struct.reachable, via_struct.cdf.back());
+}
+
+// --- bfs_layered -------------------------------------------------------------
+
+/// Single-layer transition admitting every edge.
+constexpr auto kAllEdgesStep = [](NodeId, std::size_t, NodeId, std::uint32_t) {
+  return 0u;
+};
+
+/// Two-layer parity automaton: every hop flips the layer, so state (v, p)
+/// is reached iff some walk of parity p from the source ends at v.
+constexpr auto kParityStep = [](NodeId, std::size_t, NodeId, std::uint32_t layer) {
+  return layer ^ 1u;
+};
+
+TEST(EngineLayered, OneLayerReproducesBfsDistAndVisitOrder) {
+  engine::Workspace ws_bfs, ws_layered;
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    const CsrGraph g = make_random(90, 0.04, seed);
+    for (NodeId s = 0; s < g.num_vertices(); s += 13) {
+      engine::bfs(g, s, ws_bfs, engine::AllEdges{});
+      EXPECT_EQ(engine::bfs_layered(g, s, 1, ws_layered, kAllEdgesStep), kUnreachable);
+      EXPECT_EQ(dense_dist(ws_layered, g.num_vertices()),
+                dense_dist(ws_bfs, g.num_vertices()));
+      EXPECT_EQ(visit_order(ws_layered), visit_order(ws_bfs));
+    }
+  }
+}
+
+TEST(EngineLayered, ParityLayersMatchWalkParity) {
+  // On an even cycle every vertex has one reachable parity; on an odd cycle
+  // both parities of every vertex are reachable.
+  engine::Workspace ws;
+  const CsrGraph even = bsr::test::make_cycle(6);
+  engine::bfs_layered(even, 0, 2, ws, kParityStep);
+  EXPECT_EQ(ws.frontier_size(), 6u);
+  EXPECT_EQ(ws.dist(3 * 2 + 1), 3u);  // vertex 3 at odd parity
+  EXPECT_FALSE(ws.visited(3 * 2 + 0));
+  const CsrGraph odd = bsr::test::make_cycle(5);
+  engine::bfs_layered(odd, 0, 2, ws, kParityStep);
+  EXPECT_EQ(ws.frontier_size(), 10u);
+  EXPECT_EQ(ws.dist(0 * 2 + 1), 5u);  // back to the source around the cycle
+  EXPECT_EQ(ws.dist(2 * 2 + 1), 3u);  // 0-4-3-2
+}
+
+TEST(EngineLayered, WorkspaceReuseAcrossLayersAndSizesLeaksNoState) {
+  // One workspace through a mix of layer counts and graph sizes must give
+  // exactly what a fresh workspace gives for each run.
+  struct Run {
+    NodeId n;
+    std::uint32_t layers;
+    std::uint64_t seed;
+  };
+  const Run runs[] = {{120, 3, 1}, {15, 1, 2}, {60, 2, 3}, {200, 1, 4},
+                      {40, 3, 5},  {15, 2, 6}, {120, 1, 7}};
+  engine::Workspace shared;
+  for (const Run& run : runs) {
+    const CsrGraph g = make_random(run.n, 0.05, run.seed);
+    const auto step = [layers = run.layers](NodeId u, std::size_t, NodeId v,
+                                            std::uint32_t layer) {
+      return (u + v + layer) % layers;  // an arbitrary deterministic automaton
+    };
+    engine::Workspace fresh;
+    for (NodeId s = 0; s < g.num_vertices(); s += 11) {
+      engine::bfs_layered(g, s, run.layers, fresh, step);
+      engine::bfs_layered(g, s, run.layers, shared, step);
+      const NodeId states = g.num_vertices() * run.layers;
+      EXPECT_EQ(dense_dist(shared, states), dense_dist(fresh, states));
+      EXPECT_EQ(visit_order(shared), visit_order(fresh));
+      for (const NodeId t : visit_order(shared)) {
+        EXPECT_EQ(shared.parent(t), fresh.parent(t));
+      }
+    }
+  }
+}
+
+TEST(EngineLayered, EarlyExitReturnsFirstDiscoveredTargetState) {
+  engine::Workspace ws;
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    const CsrGraph g = make_connected_random(70, 0.05, seed);
+    const NodeId n = g.num_vertices();
+    for (NodeId target = 1; target < n; target += 9) {
+      // Full run: the first state of `target` in visit order.
+      engine::bfs_layered(g, 0, 2, ws, kParityStep);
+      NodeId first = kUnreachable;
+      for (const NodeId t : ws.visit_order()) {
+        if (t / 2 == target) {
+          first = t;
+          break;
+        }
+      }
+      ASSERT_NE(first, kUnreachable);
+      const std::uint32_t first_dist = ws.dist(first);
+
+      const NodeId got = engine::bfs_layered(g, 0, 2, ws, kParityStep, target);
+      EXPECT_EQ(got, first);
+      EXPECT_EQ(ws.visit_order().back(), got);  // stopped at the discovery
+      const auto path = engine::layered_path(ws, got, 2);
+      ASSERT_EQ(path.size(), first_dist + 1);
+      EXPECT_EQ(path.front(), 0u);
+      EXPECT_EQ(path.back(), target);
+      for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+        EXPECT_TRUE(g.has_edge(path[i], path[i + 1]));
+      }
+    }
+  }
+  // A source that is its own target needs no search.
+  const CsrGraph g = make_path(3);
+  EXPECT_EQ(engine::bfs_layered(g, 2, 3, ws, kParityStep, 2), 6u);
+  EXPECT_EQ(engine::layered_path(ws, 6, 3), std::vector<NodeId>{2});
 }
 
 TEST(EngineWorkspace, ReusableAcrossTraversalsAndGraphSizes) {
@@ -256,21 +387,8 @@ TEST(EngineWorkspace, ParentChainReconstructsShortestPath) {
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
     EXPECT_TRUE(g.has_edge(path[i], path[i + 1]));
   }
-  const auto dist = bfs_distances(g, 0);
-  EXPECT_EQ(path.size(), dist[39] + 1);
+  EXPECT_EQ(path.size(), naive_bfs(g, 0)[39] + 1);
 }
-
-#if BSR_DCHECK_ENABLED
-// Debug / BSR_ENABLE_DCHECKS builds abort on out-of-range accessor use; in
-// release builds the checks compile away and these tests vanish with them.
-TEST(EngineDeathTest, BfsRunnerRejectsOversizedGraph) {
-  // A BfsRunner sized for a small graph used to scribble past its dense
-  // arrays when run on a larger one; the export is now guarded.
-  const CsrGraph big = make_path(16);
-  BfsRunner small_runner(4);
-  EXPECT_DEATH((void)small_runner.run(big, 0), "BSR_DCHECK");
-}
-#endif
 
 }  // namespace
 }  // namespace bsr::graph

@@ -102,25 +102,6 @@ TEST(EngineParallel, DominatedCdfInvariantUnderThreadCount) {
   }
 }
 
-TEST(EngineParallel, LegacyEdgeFilterOverloadInvariantUnderThreadCount) {
-  // The std::function shim dispatches into the same sharded kernel; it must
-  // inherit the invariance.
-  ThreadGuard guard;
-  const CsrGraph g = make_connected_random(200, 0.02, 23);
-  std::vector<bool> mask(g.num_vertices(), false);
-  Rng rng(31);
-  for (NodeId v = 0; v < g.num_vertices(); ++v) mask[v] = rng.bernoulli(0.3);
-  const EdgeFilter legacy = [&mask](NodeId u, NodeId v) {
-    return mask[u] || mask[v];
-  };
-  const auto sources = every_kth_vertex(g.num_vertices(), 2);
-
-  engine::set_num_threads(1);
-  const DistanceCdf serial = distance_cdf_from_sources(g, sources, legacy);
-  engine::set_num_threads(8);
-  expect_identical(distance_cdf_from_sources(g, sources, legacy), serial);
-}
-
 TEST(EngineParallel, DominatedDistanceCdfEndToEndInvariant) {
   // Full broker-layer entry point (sampled sources + dominated filter), the
   // path BSR_THREADS actually accelerates in experiments.

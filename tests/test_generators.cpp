@@ -2,12 +2,12 @@
 
 #include <algorithm>
 
-#include "graph/bfs.hpp"
 #include "graph/components.hpp"
 #include "graph/degree_stats.hpp"
 #include "topology/ba.hpp"
 #include "topology/er.hpp"
 #include "topology/ws.hpp"
+#include "test_util.hpp"
 
 namespace bsr::topology {
 namespace {
@@ -83,8 +83,8 @@ TEST(WsGenerator, SmallWorldShortcutsShortenPaths) {
   // With rewiring, expected distances shrink vs the pure lattice.
   const CsrGraph lattice = make_ws(400, 4, 0.0, 9);
   const CsrGraph rewired = make_ws(400, 4, 0.2, 9);
-  const auto d_lattice = bsr::graph::bfs_distances(lattice, 0);
-  const auto d_rewired = bsr::graph::bfs_distances(rewired, 0);
+  const auto d_lattice = bsr::test::naive_bfs(lattice, 0);
+  const auto d_rewired = bsr::test::naive_bfs(rewired, 0);
   double sum_lattice = 0, sum_rewired = 0;
   int counted = 0;
   for (NodeId v = 0; v < 400; ++v) {

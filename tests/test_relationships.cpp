@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/bfs.hpp"
 #include "graph/graph_builder.hpp"
 #include "test_util.hpp"
 #include "topology/internet.hpp"
@@ -77,6 +76,37 @@ TEST(EdgeRelations, ConstructionValidation) {
   // Edge not in the graph.
   const std::vector<Edge> missing{{0, 1}, {0, 2}};
   EXPECT_THROW(EdgeRelations(g, missing, two), std::invalid_argument);
+}
+
+TEST(EdgeRelations, NonEdgeLookupsThrow) {
+  // Edges {0-1, 0-3, 1-2}: (0, 2) and (2, 3) are not edges. The lookups
+  // used to read another edge's slot (or one past a row) in release builds.
+  GraphBuilder b(4);
+  b.add_edge(0, 1);
+  b.add_edge(0, 3);
+  b.add_edge(1, 2);
+  const CsrGraph g = b.build();
+  const auto edges = g.edges();
+  const std::vector<EdgeRel> labels(edges.size(), EdgeRel::kUProviderOfV);
+  const EdgeRelations rels(g, edges, labels);
+  EXPECT_THROW((void)rels.is_peer(0, 2), std::invalid_argument);
+  EXPECT_THROW((void)rels.is_peer(2, 0), std::invalid_argument);
+  EXPECT_THROW((void)rels.rel_canonical(2, 3), std::invalid_argument);
+  EXPECT_THROW((void)rels.is_provider_of(3, 2), std::invalid_argument);
+  EXPECT_THROW((void)rels.is_peer(0, 0), std::invalid_argument);
+  EXPECT_THROW((void)rels.rel_canonical(1, 4), std::invalid_argument);
+  EXPECT_THROW((void)rels.rel_canonical(7, 9), std::invalid_argument);
+  EXPECT_THROW((void)EdgeRelations().is_peer(0, 1), std::invalid_argument);
+  // Real edges still answer.
+  EXPECT_EQ(rels.rel_canonical(2, 1), EdgeRel::kUProviderOfV);
+  EXPECT_TRUE(rels.is_provider_of(0, 3));
+}
+
+TEST(ValleyFree, SourceOutOfRangeThrows) {
+  const Hierarchy h;
+  EXPECT_THROW((void)valley_free_distances(h.graph, h.rels, 5), std::out_of_range);
+  EXPECT_THROW((void)valley_free_distances(h.graph, h.rels, kUnreachable),
+               std::out_of_range);
 }
 
 TEST(ValleyFree, UphillThenDownhillAllowed) {

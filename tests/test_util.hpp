@@ -15,6 +15,7 @@
 #include "graph/csr_graph.hpp"
 #include "graph/graph_builder.hpp"
 #include "graph/rng.hpp"
+#include "graph/workspace.hpp"
 
 namespace bsr::test {
 
@@ -275,6 +276,15 @@ class JsonParser {
 
 inline JsonValue parse_json(std::string_view text) {
   return JsonParser(text).parse();
+}
+
+/// Dense distances of the traversal last run in `ws` over an n-vertex
+/// graph, kUnreachable where unvisited.
+inline std::vector<std::uint32_t> dense_dist(const bsr::graph::engine::Workspace& ws,
+                                             NodeId n) {
+  std::vector<std::uint32_t> out(n);
+  for (NodeId v = 0; v < n; ++v) out[v] = ws.dist(v);
+  return out;
 }
 
 /// Naive O(V^2) BFS distances used as the reference.
