@@ -269,7 +269,7 @@ class DivideBy {
 // loop whatever else the including translation unit instantiates (GCC's
 // unit-growth limit otherwise outlines Workspace::discover or the
 // transition in TUs with several kernels: a call per edge or discovery,
-// measured ~15% of a Router query).
+// measured ~15% of an early-exit point-to-point query).
 template <bool kSingleLayer, class Transition>
 [[gnu::flatten]] NodeId bfs_layered_scan(const CsrGraph& g, NodeId source,
                                          std::uint32_t layers, Workspace& ws,
@@ -352,6 +352,159 @@ NodeId bfs_layered(const CsrGraph& g, NodeId source, std::uint32_t layers,
 /// off the parent chain a bfs_layered run with `layers` layers left in `ws`.
 [[nodiscard]] std::vector<NodeId> layered_path(const Workspace& ws, NodeId state,
                                                std::uint32_t layers);
+
+// --- bidirectional point-to-point BFS ----------------------------------------
+
+namespace detail {
+
+/// Expands one whole level [begin, end) of `mine`'s frontier at `depth`,
+/// discovering unvisited admitted neighbors at depth + 1 and summing their
+/// degrees into `next_degree`. Stops and returns true at the first admitted
+/// edge into a vertex `other` has visited: the two search fronts met.
+/// `mine` and `other` are the Workspace (forward side) and its BackDomain,
+/// in either role.
+template <class Mine, class Other, class Filter>
+bool bidirectional_expand(const CsrGraph& g, Mine& mine, const Other& other,
+                          std::size_t begin, std::size_t end, std::uint32_t depth,
+                          Filter admit, std::uint64_t& next_degree) {
+  for (std::size_t head = begin; head < end; ++head) {
+    const NodeId u = mine.frontier_at(head);
+    const auto neigh = g.neighbors(u);
+    for (std::size_t i = 0; i < neigh.size(); ++i) {
+      const NodeId v = neigh[i];
+      if (mine.visited(v) || !admit(u, i, v)) continue;
+      if (other.visited(v)) return true;
+      mine.discover(v, depth + 1);
+      next_degree += g.degree(v);
+    }
+  }
+  return false;
+}
+
+/// The first admitted neighbor of u at backward depth r - 1, or kUnreachable.
+template <class Filter>
+NodeId first_toward(const CsrGraph& g, const BackDomain& back, NodeId u,
+                    std::uint32_t r, Filter admit) {
+  const auto neigh = g.neighbors(u);
+  for (std::size_t i = 0; i < neigh.size(); ++i) {
+    const NodeId w = neigh[i];
+    if (back.dist(w) == r - 1 && admit(u, i, w)) return w;
+  }
+  return kUnreachable;
+}
+
+/// The adjacency-slot-first shortest path once the fronts met with forward
+/// levels 0..a and backward levels 0..b complete (so dist = a + b + 1).
+/// A depth-first search from the source over the forward level DAG, children
+/// in slot order, finds the first depth-a vertex with an edge to backward
+/// depth b; vertices it entered and left are dead, held in the mark domain.
+/// A first-slot descent down the backward levels finishes the path.
+template <class Filter>
+std::vector<NodeId> bidirectional_path(const CsrGraph& g, NodeId src,
+                                       std::uint32_t a, std::uint32_t b,
+                                       Workspace& ws, Filter admit) {
+  const BackDomain& back = ws.back();
+  ws.begin_marks(g.num_vertices());
+  std::vector<NodeId> path;
+  path.reserve(std::size_t{a} + b + 2);
+  path.push_back(src);
+  std::vector<std::size_t> next_slot(std::size_t{a} + 1, 0);  // per DFS depth
+  for (;;) {
+    BSR_DCHECK(!path.empty());  // the fronts met, so some prefix succeeds
+    const NodeId u = path.back();
+    const auto j = static_cast<std::uint32_t>(path.size() - 1);
+    if (j == a) {
+      const NodeId w = first_toward(g, back, u, b + 1, admit);
+      if (w != kUnreachable) {
+        path.push_back(w);
+        break;
+      }
+      path.pop_back();
+      continue;
+    }
+    const auto neigh = g.neighbors(u);
+    std::size_t i = next_slot[j];
+    while (i < neigh.size()) {
+      const NodeId v = neigh[i];
+      if (ws.dist(v) == j + 1 && admit(u, i, v) && ws.mark(v)) break;
+      ++i;
+    }
+    if (i == neigh.size()) {
+      path.pop_back();
+      continue;
+    }
+    next_slot[j] = i + 1;
+    next_slot[j + 1] = 0;
+    path.push_back(neigh[i]);
+  }
+  for (std::uint32_t r = b; r > 0; --r) {
+    path.push_back(first_toward(g, back, path.back(), r, admit));
+    BSR_DCHECK(path.back() != kUnreachable);
+  }
+  return path;
+}
+
+}  // namespace detail
+
+/// Shortest src -> dst path over edges admitted by a *symmetric* filter (the
+/// bfs_dir_opt contract), searched from both ends; empty if unreachable,
+/// {src} if src == dst.
+///
+/// Level-synchronous: each round expands one whole level of the side whose
+/// frontier has the smaller degree sum, and the search stops at the first
+/// edge between the two fronts, or when a side's new level is empty
+/// (unreachable). The path returned is the one engine::bfs from src would
+/// record as dst's parent chain — the shortest path whose sequence of
+/// adjacency slots is lexicographically first — so it does not depend on
+/// which side expanded when (docs/ENGINE.md has the argument).
+///
+/// Forward dist/visit order live in the traversal domain of `ws`, backward
+/// ones in ws.back(), and the path rebuild uses its mark domain: no call
+/// clears or allocates O(V) once the workspace has grown to the graph.
+template <class Filter>
+std::vector<NodeId> bfs_bidirectional(const CsrGraph& g, NodeId src, NodeId dst,
+                                      Workspace& ws, Filter admit) {
+  BSR_DCHECK(src < g.num_vertices() && dst < g.num_vertices());
+  if (src == dst) return {src};
+  BackDomain& back = ws.back();
+  ws.begin(g.num_vertices());
+  back.begin(g.num_vertices());
+  ws.discover(src, 0);
+  back.discover(dst, 0);
+  // Per side: [begin, frontier_size()) is its deepest complete level, at
+  // depth a (forward) or b (backward), whose degrees sum to *_degree.
+  std::size_t f_begin = 0;
+  std::size_t b_begin = 0;
+  std::uint32_t a = 0;
+  std::uint32_t b = 0;
+  std::uint64_t f_degree = g.degree(src);
+  std::uint64_t b_degree = g.degree(dst);
+  for (;;) {
+    std::uint64_t next_degree = 0;
+    if (f_degree <= b_degree) {
+      const std::size_t end = ws.frontier_size();
+      if (detail::bidirectional_expand(g, ws, back, f_begin, end, a, admit,
+                                       next_degree)) {
+        break;
+      }
+      if (end == ws.frontier_size()) return {};
+      f_begin = end;
+      f_degree = next_degree;
+      ++a;
+    } else {
+      const std::size_t end = back.frontier_size();
+      if (detail::bidirectional_expand(g, back, ws, b_begin, end, b, admit,
+                                       next_degree)) {
+        break;
+      }
+      if (end == back.frontier_size()) return {};
+      b_begin = end;
+      b_degree = next_degree;
+      ++b;
+    }
+  }
+  return detail::bidirectional_path(g, src, a, b, ws, admit);
+}
 
 /// Unions the endpoints of every admitted edge into `uf`. Edges are scanned
 /// in canonical ascending (u, v) order with u < v — the same order every

@@ -29,6 +29,19 @@ void Workspace::begin(NodeId n) {
   BSR_GAUGE_MAX(EngineWorkspaceHighWater, capacity());
 }
 
+void BackDomain::begin(NodeId n) {
+  if (n > dist_.size()) {
+    dist_.resize(n, kUnreachable);
+    stamp_.resize(n, 0);  // never equals a live epoch: grown slots read unvisited
+    queue_.reserve(n);
+  }
+  if (++epoch_ == 0) {
+    std::fill(stamp_.begin(), stamp_.end(), 0u);
+    epoch_ = 1;
+  }
+  queue_.clear();
+}
+
 std::vector<std::uint64_t>& Workspace::visited_bits(NodeId n) {
   visited_bits_.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
   return visited_bits_;

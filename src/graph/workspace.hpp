@@ -9,9 +9,11 @@
 // arrays are cleared for real only when the 32-bit epoch wraps (once per
 // ~4 billion traversals).
 //
-// Two independent stamp domains are provided:
+// Three independent stamp domains are provided:
 //   * the traversal domain — dist/parent/visit-order for one BFS at a time;
-//   * the mark domain     — a reusable "seen this round?" set (root dedup in
+//   * the backward domain  — dist/visit-order of a second search front
+//     (engine::bfs_bidirectional's backward side), grown on first use;
+//   * the mark domain      — a reusable "seen this round?" set (root dedup in
 //     greedy gain sweeps, coverage marking, ...).
 // They never interfere, so a caller may run a BFS while holding marks.
 //
@@ -29,6 +31,49 @@
 #include "graph/csr_graph.hpp"
 
 namespace bsr::graph::engine {
+
+/// Distances and visit order of one traversal under its own epoch stamps,
+/// without parents: the backward search front of engine::bfs_bidirectional,
+/// which runs while the Workspace's traversal domain holds the forward one.
+/// Its accessors carry the traversal domain's names, so one kernel template
+/// expands either side.
+class BackDomain {
+ public:
+  /// Starts a fresh traversal over `n` vertices: O(1) amortized. Grows (never
+  /// shrinks) the arrays on first use or a larger graph.
+  void begin(NodeId n);
+
+  [[nodiscard]] bool visited(NodeId v) const noexcept {
+    BSR_DCHECK(v < stamp_.size());
+    return stamp_[v] == epoch_;
+  }
+
+  /// Distance of v in the current traversal; kUnreachable if not visited.
+  [[nodiscard]] std::uint32_t dist(NodeId v) const noexcept {
+    return visited(v) ? dist_[v] : kUnreachable;
+  }
+
+  /// Marks v visited at distance d and appends it to the frontier.
+  void discover(NodeId v, std::uint32_t d) noexcept {
+    BSR_DCHECK(v < dist_.size());
+    BSR_DCHECK(!visited(v));
+    stamp_[v] = epoch_;
+    dist_[v] = d;
+    queue_.push_back(v);
+  }
+
+  [[nodiscard]] std::size_t frontier_size() const noexcept { return queue_.size(); }
+  [[nodiscard]] NodeId frontier_at(std::size_t i) const noexcept {
+    BSR_DCHECK(i < queue_.size());
+    return queue_[i];
+  }
+
+ private:
+  std::vector<std::uint32_t> dist_;
+  std::vector<std::uint32_t> stamp_;  // dist_ valid iff == epoch_
+  std::vector<NodeId> queue_;
+  std::uint32_t epoch_ = 0;
+};
 
 class Workspace {
  public:
@@ -99,6 +144,10 @@ class Workspace {
     return queue_[i];
   }
 
+  // --- backward domain -----------------------------------------------------
+
+  [[nodiscard]] BackDomain& back() noexcept { return back_; }
+
   // --- mark domain ---------------------------------------------------------
 
   /// Starts a fresh mark round over `n` vertices: O(1) amortized.
@@ -145,6 +194,7 @@ class Workspace {
   std::uint32_t epoch_ = 0;                // 0 = "no traversal yet"
   std::vector<std::uint32_t> mark_stamp_;  // marked iff == mark_epoch_
   std::uint32_t mark_epoch_ = 0;
+  BackDomain back_;
   std::vector<std::uint64_t> visited_bits_;   // dir-opt BFS scratch
   std::vector<std::uint64_t> frontier_bits_;  // dir-opt BFS scratch
 };

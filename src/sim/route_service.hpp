@@ -1,8 +1,9 @@
 // Fault-tolerant route-serving plane: a long-lived landmark oracle service.
 //
-// The Router answers one query at a time with a full early-exit BFS — fine
-// inside sim loops, hopeless for a brokerage serving millions of route
-// lookups per second. RouteService turns the dominated subgraph G_B into a
+// The Router answers one query at a time with a bidirectional BFS — a few
+// microseconds per pair at scale 1.0, fine inside sim loops but short of a
+// brokerage serving millions of route lookups per second. RouteService turns
+// the dominated subgraph G_B into a
 // precomputed *oracle* and serves queries out of flat arrays:
 //
 //   * Exact reachability from a RollbackUnionFind over the usable dominated

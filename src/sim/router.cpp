@@ -1,5 +1,8 @@
 #include "sim/router.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "graph/check.hpp"
 #include "graph/engine.hpp"
 #include "graph/sampling.hpp"
@@ -37,58 +40,51 @@ Router::Router(const bsr::graph::CsrGraph& g, const bsr::broker::BrokerSet& brok
 Router::Router(const bsr::graph::CsrGraph& g, const bsr::broker::BrokerSet& brokers,
                const bsr::graph::FaultPlane* faults)
     : graph_(&g), brokers_(&brokers), ws_(g.num_vertices()) {
+  if (brokers.num_vertices() != g.num_vertices()) {
+    throw std::invalid_argument(
+        "Router: broker set covers " + std::to_string(brokers.num_vertices()) +
+        " vertices but the graph has " + std::to_string(g.num_vertices()));
+  }
   set_fault_plane(faults);
 }
 
 void Router::set_fault_plane(const bsr::graph::FaultPlane* faults) {
-  BSR_DCHECK(faults == nullptr || &faults->graph() == graph_);
+  if (faults != nullptr && &faults->graph() != graph_) {
+    throw std::invalid_argument("Router: fault plane is bound to another graph");
+  }
   faults_ = faults;
 }
 
 void Router::set_health_view(const HealthView* view) {
-  BSR_DCHECK(view == nullptr || view->routable.size() == graph_->num_vertices());
+  if (view != nullptr && view->routable.size() != graph_->num_vertices()) {
+    throw std::invalid_argument("Router: health view covers another graph");
+  }
   health_view_ = view;
 }
 
-template <class Filter>
-Route Router::route_scan(NodeId src, NodeId dst, Filter admit) {
-  namespace engine = bsr::graph::engine;
-  Route route;
-  const NodeId goal = engine::bfs_layered(
-      *graph_, src, 1, ws_,
-      [admit](NodeId u, std::size_t i, NodeId v, std::uint32_t) {
-        return admit(u, i, v) ? 0u : engine::kRejectLayer;
-      },
-      dst);
-  if (goal != kUnreachable) route.path = engine::layered_path(ws_, goal, 1);
-  return route;
+void Router::check_endpoints(NodeId src, NodeId dst) const {
+  if (src >= graph_->num_vertices() || dst >= graph_->num_vertices()) {
+    throw std::out_of_range("Router: endpoint out of range");
+  }
 }
 
 Route Router::route_impl(NodeId src, NodeId dst, bool dominated) {
-  BSR_DCHECK(src < graph_->num_vertices() && dst < graph_->num_vertices());
-  Route route;
+  check_endpoints(src, dst);
   if (faults_ != nullptr && (!faults_->vertex_ok(src) || !faults_->vertex_ok(dst))) {
-    return route;  // a down endpoint cannot originate or terminate traffic
-  }
-  if (src == dst) {
-    route.path = {src};
-    return route;
+    return {};  // a down endpoint cannot originate or terminate traffic
   }
   // Static four-way dispatch: the filter inlines into the scan loop, so the
   // plain free-route case pays nothing for broker/fault support.
   namespace engine = bsr::graph::engine;
+  const auto scan = [&](auto admit) {
+    return Route{engine::bfs_bidirectional(*graph_, src, dst, ws_, admit)};
+  };
   const engine::DominatedEdgeFilter dom{&brokers_->mask()};
+  const engine::FaultAwareFilter up{faults_};
   if (dominated) {
-    if (faults_ != nullptr) {
-      return route_scan(src, dst,
-                        engine::BothFilters{dom, engine::FaultAwareFilter{faults_}});
-    }
-    return route_scan(src, dst, dom);
+    return faults_ != nullptr ? scan(engine::BothFilters{dom, up}) : scan(dom);
   }
-  if (faults_ != nullptr) {
-    return route_scan(src, dst, engine::FaultAwareFilter{faults_});
-  }
-  return route_scan(src, dst, engine::AllEdges{});
+  return faults_ != nullptr ? scan(up) : scan(engine::AllEdges{});
 }
 
 Route Router::route_healed(NodeId src, NodeId dst, std::uint32_t max_heals,
@@ -128,6 +124,7 @@ Route Router::route_dominated(NodeId src, NodeId dst) {
 
 TieredRoute Router::route_with_degradation(NodeId src, NodeId dst,
                                            const DegradationPolicy& policy) {
+  check_endpoints(src, dst);
   BSR_COUNT(RouterRoutes);
   TieredRoute out;
   out.route = route_dominated(src, dst);
@@ -164,7 +161,7 @@ TieredRoute Router::route_with_degradation(NodeId src, NodeId dst,
 
 HealthRouteResult Router::route_with_health(NodeId src, NodeId dst) {
   BSR_DCHECK(health_view_ != nullptr);
-  BSR_DCHECK(src < graph_->num_vertices() && dst < graph_->num_vertices());
+  check_endpoints(src, dst);
   BSR_COUNT(RouterRoutes);
   HealthRouteResult out;
   if (src == dst) {
@@ -176,8 +173,9 @@ HealthRouteResult Router::route_with_health(NodeId src, NodeId dst) {
   // endpoint, with no fault consultation — the control plane knows only what
   // the view says. The routable bitmap is already broker-AND-healthy, so the
   // plain dominated filter over it is exactly the believed plane.
-  out.route = route_scan(
-      src, dst, bsr::graph::engine::DominatedEdgeFilter{&health_view_->routable});
+  out.route.path = bsr::graph::engine::bfs_bidirectional(
+      *graph_, src, dst, ws_,
+      bsr::graph::engine::DominatedEdgeFilter{&health_view_->routable});
   if (out.route.reachable()) {
     if (faults_ != nullptr) {
       for (std::size_t i = 0; i + 1 < out.route.path.size(); ++i) {

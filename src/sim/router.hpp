@@ -84,21 +84,29 @@ struct HealthRouteResult {
 };
 
 /// Reusable router bound to one graph + broker set (+ optional fault plane).
+/// Plain routes run engine::bfs_bidirectional and return the path a FIFO BFS
+/// from src records. Every route entry point throws std::out_of_range for an
+/// endpoint that is not a vertex of the graph.
 class Router {
  public:
+  /// Throws std::invalid_argument unless `brokers` covers exactly the
+  /// vertices of `g`.
   Router(const bsr::graph::CsrGraph& g, const bsr::broker::BrokerSet& brokers);
 
   /// Fault-aware router: all routes respect the plane's failures. The plane
-  /// must be bound to `g` and outlive the router; nullptr detaches.
+  /// must be bound to `g` (std::invalid_argument otherwise) and outlive the
+  /// router; nullptr detaches.
   Router(const bsr::graph::CsrGraph& g, const bsr::broker::BrokerSet& brokers,
          const bsr::graph::FaultPlane* faults);
 
+  /// Throws std::invalid_argument for a plane bound to another graph.
   void set_fault_plane(const bsr::graph::FaultPlane* faults);
 
   /// Binds a (possibly stale) health view for route_with_health(); nullptr
-  /// detaches. The view must cover this graph and outlive the router. The
-  /// oracle entry points (route_free/route_dominated/route_with_degradation)
-  /// are unaffected — they keep answering from ground truth.
+  /// detaches. The view must cover this graph (std::invalid_argument
+  /// otherwise) and outlive the router. The oracle entry points
+  /// (route_free/route_dominated/route_with_degradation) are unaffected —
+  /// they keep answering from ground truth.
   void set_health_view(const HealthView* view);
 
   [[nodiscard]] const bsr::graph::CsrGraph& graph() const noexcept { return *graph_; }
@@ -130,11 +138,9 @@ class Router {
                                                      bsr::graph::NodeId dst);
 
  private:
+  /// Throws std::out_of_range unless both endpoints are vertices of the graph.
+  void check_endpoints(bsr::graph::NodeId src, bsr::graph::NodeId dst) const;
   Route route_impl(bsr::graph::NodeId src, bsr::graph::NodeId dst, bool dominated);
-  /// Early-exit single-layer engine::bfs_layered with a static-dispatch edge
-  /// filter; defined in router.cpp (all four instantiations live there).
-  template <class Filter>
-  Route route_scan(bsr::graph::NodeId src, bsr::graph::NodeId dst, Filter admit);
   Route route_healed(bsr::graph::NodeId src, bsr::graph::NodeId dst,
                      std::uint32_t max_heals, std::uint32_t& healed_links);
 
@@ -142,8 +148,9 @@ class Router {
   const bsr::broker::BrokerSet* brokers_;
   const bsr::graph::FaultPlane* faults_ = nullptr;
   const HealthView* health_view_ = nullptr;
-  /// Epoch-stamped; holds vertex states, and (vertex, heals) states for
-  /// route_healed, so no call clears or allocates O(V) memory.
+  /// Epoch-stamped; holds both fronts of the bidirectional routes, and
+  /// (vertex, heals) states for route_healed, so no call clears or allocates
+  /// O(V) memory.
   bsr::graph::engine::Workspace ws_;
 };
 

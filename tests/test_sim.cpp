@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "broker/verify.hpp"
+#include "graph/fault_plane.hpp"
+#include "graph/graph_builder.hpp"
 #include "sim/demand.hpp"
 #include "sim/load.hpp"
 #include "sim/qos.hpp"
@@ -123,6 +125,62 @@ TEST(Router, StretchNulloptWhenDominatedUnreachable) {
   b.add(0);  // dominates only edge 0-1
   Router router(g, b);
   EXPECT_FALSE(router.stretch(0, 3).has_value());
+}
+
+/// 102 vertices with edges 0-100 and 100-101: the broker-set-mismatch
+/// reproducer (a 4-vertex BrokerSet read at vertex 100 overflows its mask).
+CsrGraph far_edges_graph() {
+  bsr::graph::GraphBuilder b(102);
+  b.add_edge(0, 100);
+  b.add_edge(100, 101);
+  return b.build();
+}
+
+TEST(Router, RejectsBrokerSetOfAnotherGraph) {
+  const CsrGraph g = far_edges_graph();
+  BrokerSet small(4);
+  small.add(0);
+  EXPECT_THROW(Router(g, small), std::invalid_argument);
+  EXPECT_THROW(Router(g, BrokerSet(103)), std::invalid_argument);
+  BrokerSet sized(g.num_vertices());
+  sized.add(0);
+  Router router(g, sized);
+  EXPECT_FALSE(router.route_dominated(0, 101).reachable());  // 100-101 undominated
+  EXPECT_EQ(router.route_dominated(0, 100).hops(), 1u);
+}
+
+TEST(Router, RejectsFaultPlaneOfAnotherGraph) {
+  const CsrGraph g = make_path(5);
+  const CsrGraph other = make_path(5);
+  BrokerSet b(5);
+  const bsr::graph::FaultPlane foreign(other);
+  EXPECT_THROW(Router(g, b, &foreign), std::invalid_argument);
+  Router router(g, b);
+  EXPECT_THROW(router.set_fault_plane(&foreign), std::invalid_argument);
+  const bsr::graph::FaultPlane own(g);
+  router.set_fault_plane(&own);
+  router.set_fault_plane(nullptr);
+  HealthView view;
+  view.routable.assign(4, true);
+  EXPECT_THROW(router.set_health_view(&view), std::invalid_argument);
+}
+
+TEST(Router, RejectsEndpointsOutOfRange) {
+  const CsrGraph g = make_path(5);
+  BrokerSet b(5);
+  b.add(2);
+  Router router(g, b);
+  HealthView view;
+  view.routable.assign(5, true);
+  router.set_health_view(&view);
+  for (const auto& [s, t] : {std::pair<NodeId, NodeId>{0, 5}, {5, 0}, {7, 7}}) {
+    EXPECT_THROW((void)router.route_free(s, t), std::out_of_range);
+    EXPECT_THROW((void)router.route_dominated(s, t), std::out_of_range);
+    EXPECT_THROW((void)router.route_with_degradation(s, t, {}), std::out_of_range);
+    EXPECT_THROW((void)router.route_with_health(s, t), std::out_of_range);
+    EXPECT_THROW((void)router.stretch(s, t), std::out_of_range);
+  }
+  EXPECT_EQ(router.route_free(0, 4).hops(), 4u);
 }
 
 // --- qos ---------------------------------------------------------------------
